@@ -1,0 +1,7 @@
+"""Put the program under ``src/`` on the path for the check tests."""
+
+import os
+import sys
+
+sys.path.insert(
+    0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "src"))
